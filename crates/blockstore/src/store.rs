@@ -7,7 +7,7 @@
 //! acknowledged puts and deletes survive any crash.
 
 use veros_fs::journal::{FsOp, JournaledFs};
-use veros_fs::Path;
+use veros_fs::{FsError, Path};
 use veros_hw::SimDisk;
 
 use crate::wire::block_checksum;
@@ -44,8 +44,18 @@ pub struct BlockStore {
 fn key_path(key: &str) -> String {
     // Hex-encode so arbitrary keys are always valid single-component
     // paths.
-    let hex: String = key.bytes().map(|b| format!("{b:02x}")).collect();
-    format!("/b_{hex}")
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut path = String::with_capacity(3 + 2 * key.len());
+    path.push_str("/b_");
+    for b in key.bytes() {
+        path.push(HEX[usize::from(b >> 4)] as char);
+        path.push(HEX[usize::from(b & 0xf)] as char);
+    }
+    path
+}
+
+fn fs_err(e: FsError) -> StoreError {
+    StoreError::Fs(e.to_string())
 }
 
 fn path_key(path: &str) -> Option<String> {
@@ -81,63 +91,50 @@ impl BlockStore {
     }
 
     /// Stores a block, verifying the client checksum first. One
-    /// committed transaction: after `Ok`, the block survives crashes.
+    /// `Replace` record in one committed transaction: after `Ok`, the
+    /// block survives crashes; after `Err`, the previous value (or its
+    /// absence) is untouched in memory and on disk.
     pub fn put(&mut self, key: &str, data: &[u8], checksum: u64) -> Result<(), StoreError> {
         let _latency = crate::metrics::PUT_LATENCY.timer();
         if block_checksum(data) != checksum {
             crate::metrics::CHECKSUM_FAILURES.inc();
             return Err(StoreError::ChecksumMismatch);
         }
-        let path = key_path(key);
-        let exists = self
-            .fs
-            .fs
-            .lookup(&Path::parse(&path).expect("hex path"))
-            .is_ok();
-        if !exists {
-            self.fs
-                .apply(FsOp::Create(path.clone()))
-                .map_err(|e| StoreError::Fs(e.to_string()))?;
-        } else {
-            self.fs
-                .apply(FsOp::Truncate(path.clone(), 0))
-                .map_err(|e| StoreError::Fs(e.to_string()))?;
-        }
-        let mut payload = checksum.to_le_bytes().to_vec();
+        let mut payload = Vec::with_capacity(8 + data.len());
+        payload.extend_from_slice(&checksum.to_le_bytes());
         payload.extend_from_slice(data);
-        self.fs
-            .apply(FsOp::WriteAt(path, 0, payload))
-            .map_err(|e| StoreError::Fs(e.to_string()))?;
-        self.fs.commit().map_err(|e| StoreError::Fs(e.to_string()))?;
-        Ok(())
+        self.fs.apply(FsOp::Replace(key_path(key), payload)).map_err(fs_err)?;
+        self.fs.commit().map_err(fs_err)
     }
 
     /// Fetches a block and its stored checksum, verifying integrity.
     pub fn get(&self, key: &str) -> Result<(Vec<u8>, u64), StoreError> {
         let _latency = crate::metrics::GET_LATENCY.timer();
-        let path = Path::parse(&key_path(key)).expect("hex path");
-        let raw = self.fs.fs.read_file(&path).map_err(|_| StoreError::NotFound)?;
-        if raw.len() < 8 {
+        let path = Path::parse(&key_path(key)).map_err(|_| StoreError::NotFound)?;
+        let raw = self.fs.fs.contents(&path).map_err(|_| StoreError::NotFound)?;
+        let Some((head, data)) = raw.split_first_chunk::<8>() else {
             return Err(StoreError::Corrupt);
-        }
-        let checksum = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes"));
-        let data = raw[8..].to_vec();
-        if block_checksum(&data) != checksum {
+        };
+        let checksum = u64::from_le_bytes(*head);
+        if block_checksum(data) != checksum {
             crate::metrics::CHECKSUM_FAILURES.inc();
             return Err(StoreError::Corrupt);
         }
-        Ok((data, checksum))
+        Ok((data.to_vec(), checksum))
     }
 
-    /// Deletes a block (committed transaction).
+    /// Deletes a block (committed transaction). A refusal other than a
+    /// missing key — a full journal — is an `Fs` error, and leaves the
+    /// block in place.
     pub fn delete(&mut self, key: &str) -> Result<(), StoreError> {
         let _latency = crate::metrics::DELETE_LATENCY.timer();
-        let path = key_path(key);
         self.fs
-            .apply(FsOp::Unlink(path))
-            .map_err(|_| StoreError::NotFound)?;
-        self.fs.commit().map_err(|e| StoreError::Fs(e.to_string()))?;
-        Ok(())
+            .apply(FsOp::Unlink(key_path(key)))
+            .map_err(|e| match e {
+                FsError::NotFound => StoreError::NotFound,
+                e => fs_err(e),
+            })?;
+        self.fs.commit().map_err(fs_err)
     }
 
     /// All keys, sorted.

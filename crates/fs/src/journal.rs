@@ -10,9 +10,9 @@
 //! or after the last acknowledged commit*.
 //!
 //! Record wire format (sector-packed, little-endian):
-//! `MAGIC u32 | kind u8 | txn u64 | payload(bytes)` — framed by the same
-//! marshalling discipline as the syscall layer, with a checksum so torn
-//! sectors are detected rather than misparsed.
+//! `MAGIC u32 | kind u8 | len u32 | payload | checksum u32` — the payload
+//! is marshalled with the same discipline as the syscall layer, and the
+//! checksum makes torn sectors detected rather than misparsed.
 
 use veros_hw::{SimDisk, SECTOR_SIZE};
 
@@ -34,6 +34,8 @@ pub enum FsOp {
     WriteAt(String, u64, Vec<u8>),
     /// Truncate to a length.
     Truncate(String, u64),
+    /// Create the file if absent, then set its whole contents.
+    Replace(String, Vec<u8>),
 }
 
 impl FsOp {
@@ -52,6 +54,7 @@ impl FsOp {
                 let ino = fs.lookup(&parse(p)?)?;
                 fs.truncate(ino, *len)
             }
+            FsOp::Replace(p, data) => fs.replace(&parse(p)?, data).map(|_| ()),
         }
     }
 
@@ -76,6 +79,9 @@ impl FsOp {
             FsOp::Truncate(p, len) => {
                 e.u8(6).str(p).u64(*len);
             }
+            FsOp::Replace(p, data) => {
+                e.u8(7).str(p).bytes(data);
+            }
         }
         e.finish()
     }
@@ -89,6 +95,7 @@ impl FsOp {
             4 => FsOp::Rmdir(d.str().ok()?),
             5 => FsOp::WriteAt(d.str().ok()?, d.u64().ok()?, d.bytes().ok()?),
             6 => FsOp::Truncate(d.str().ok()?, d.u64().ok()?),
+            7 => FsOp::Replace(d.str().ok()?, d.bytes().ok()?),
             _ => return None,
         };
         d.finish().ok()?;
@@ -208,10 +215,9 @@ pub struct JournaledFs {
     disk: SimDisk,
     /// Next journal byte offset on disk.
     write_pos: u64,
-    /// Current transaction id.
-    txn: u64,
-    /// Ops buffered in the current (uncommitted) transaction.
-    pending: Vec<FsOp>,
+    /// Whether the current transaction holds an op record; an empty
+    /// transaction commits without writing anything.
+    open_txn: bool,
     journaling: bool,
     /// Whether `commit` issues the flush barrier. Always true in real
     /// use; switched off only by the `invariant::fs_journal` ablation to
@@ -236,8 +242,7 @@ impl JournaledFs {
             fs: MemFs::new(),
             disk,
             write_pos: 0,
-            txn: 1,
-            pending: Vec::new(),
+            open_txn: false,
             journaling: true,
             commit_barriers: true,
             replayed_ops: 0,
@@ -262,34 +267,54 @@ impl JournaledFs {
         s
     }
 
-    /// Applies an operation in the current transaction: journal first
-    /// (WAL rule), then the in-memory state.
+    /// Applies an operation in the current transaction.
+    ///
+    /// Failure-atomic: on `Err` neither the in-memory state nor the
+    /// journal has changed. The steps, in order:
+    ///
+    /// 1. encode the record;
+    /// 2. check that the record *plus one commit sector* fit in the
+    ///    journal, else return [`FsError::NoSpace`] — before the op is
+    ///    validated, so a full journal refuses every op alike;
+    /// 3. apply the op to the live [`MemFs`], whose mutators leave it
+    ///    untouched when they fail (see [`crate::memfs`]), so a failed
+    ///    op never reaches the journal and replay cannot diverge;
+    /// 4. write the record's sectors. They sit in the disk's volatile
+    ///    cache until `commit` flushes them, so the WAL rule — the
+    ///    record is durable before the op is acknowledged — holds.
+    ///
+    /// Reserving the commit sector in step 2 is what lets [`commit`]
+    /// never run out of space.
+    ///
+    /// [`commit`]: JournaledFs::commit
     pub fn apply(&mut self, op: FsOp) -> Result<(), FsError> {
-        // Validate against the live state first: failed operations must
-        // not reach the journal (replay would diverge).
-        let mut probe = self.fs.clone();
-        op.apply(&mut probe)?;
-        if self.journaling {
-            self.append_record(KIND_OP, &op.encode())?;
+        if !self.journaling {
+            return op.apply(&mut self.fs);
         }
-        self.pending.push(op.clone());
-        self.fs = probe;
+        let rec = frame(KIND_OP, &op.encode());
+        if self.next_sector() + sectors_of(&rec) + 1 > journal_sectors(&self.disk) {
+            return Err(FsError::NoSpace);
+        }
+        op.apply(&mut self.fs)?;
+        self.write_record(&rec);
+        self.open_txn = true;
         Ok(())
     }
 
     /// Commits the current transaction: a commit record plus a flush
     /// barrier. After `commit` returns, the transaction survives any
-    /// crash.
+    /// crash. It never fails: the transaction's last `apply` reserved
+    /// the commit record's sector, and an empty transaction writes
+    /// nothing. The `Result` is kept for callers that propagate it.
     pub fn commit(&mut self) -> Result<(), FsError> {
-        if self.journaling {
-            self.append_record(KIND_COMMIT, &[])?;
+        if self.journaling && self.open_txn {
+            self.write_record(&frame(KIND_COMMIT, &[]));
             if self.commit_barriers {
                 self.disk.flush();
             }
             crate::metrics::JOURNAL_COMMITS.inc();
         }
-        self.pending.clear();
-        self.txn += 1;
+        self.open_txn = false;
         Ok(())
     }
 
@@ -304,7 +329,6 @@ impl JournaledFs {
         let mut pos = 0u64;
         let mut txn_ops: Vec<FsOp> = Vec::new();
         let mut committed_end = 0u64;
-        let mut txns = 0u64;
         let mut replayed = 0u64;
         'scan: while let Some((kind, payload, next)) = read_record(&disk, pos) {
             match kind {
@@ -328,7 +352,6 @@ impl JournaledFs {
                         op.apply(&mut fs).expect("committed op replays");
                     }
                     committed_end = next;
-                    txns += 1;
                 }
                 _ => break 'scan,
             }
@@ -343,39 +366,51 @@ impl JournaledFs {
             // New records go after the last committed record; trailing
             // uncommitted records are discarded (overwritten).
             write_pos: committed_end,
-            txn: txns + 1,
-            pending: Vec::new(),
+            open_txn: false,
             journaling: true,
             commit_barriers: true,
             replayed_ops: replayed,
         }
     }
 
-    fn append_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), FsError> {
-        // Record = MAGIC | kind | len | payload | checksum, padded to
-        // sector boundaries.
-        let mut rec = Vec::with_capacity(payload.len() + 13);
-        rec.extend_from_slice(&MAGIC.to_le_bytes());
-        rec.push(kind);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
-        rec.extend_from_slice(&checksum(payload).to_le_bytes());
-        let sectors = rec.len().div_ceil(SECTOR_SIZE) as u64;
-        let first = self.write_pos / SECTOR_SIZE as u64;
-        if first + sectors > journal_sectors(&self.disk) {
-            return Err(FsError::NoSpace);
-        }
-        for s in 0..sectors {
+    /// The sector the next record starts at.
+    fn next_sector(&self) -> u64 {
+        self.write_pos / SECTOR_SIZE as u64
+    }
+
+    /// Writes a framed record at the journal's end. The caller has
+    /// checked that it fits, so no sector write can fail.
+    fn write_record(&mut self, rec: &[u8]) {
+        let first = self.next_sector();
+        for (s, chunk) in (first..).zip(rec.chunks(SECTOR_SIZE)) {
             let mut sector = [0u8; SECTOR_SIZE];
-            let start = (s as usize) * SECTOR_SIZE;
-            let end = rec.len().min(start + SECTOR_SIZE);
-            sector[..end - start].copy_from_slice(&rec[start..end]);
-            self.disk.write(first + s, &sector).map_err(|_| FsError::NoSpace)?;
+            sector[..chunk.len()].copy_from_slice(chunk);
+            // lint: allow(panic-freedom) — `apply` checked the record
+            // (and the commit sector after it) fits on the disk, so the
+            // sector is in range; a miss is a broken reservation.
+            self.disk.write(s, &sector).expect("record fits in the journal");
         }
+        let sectors = sectors_of(rec);
         self.write_pos = (first + sectors) * SECTOR_SIZE as u64;
         crate::metrics::WAL_BYTES.add(sectors * SECTOR_SIZE as u64);
-        Ok(())
     }
+}
+
+/// Frames a record: `MAGIC | kind | len | payload | checksum`, padded to
+/// sector boundaries when written.
+fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(payload.len() + 13);
+    rec.extend_from_slice(&MAGIC.to_le_bytes());
+    rec.push(kind);
+    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    rec.extend_from_slice(payload);
+    rec.extend_from_slice(&checksum(payload).to_le_bytes());
+    rec
+}
+
+/// Sectors a framed record occupies.
+fn sectors_of(rec: &[u8]) -> u64 {
+    rec.len().div_ceil(SECTOR_SIZE) as u64
 }
 
 
@@ -441,6 +476,7 @@ mod tests {
         ops_round_trip(FsOp::Rmdir("/d".into()));
         ops_round_trip(FsOp::WriteAt("/a".into(), 42, vec![1, 2, 3]));
         ops_round_trip(FsOp::Truncate("/a".into(), 7));
+        ops_round_trip(FsOp::Replace("/a".into(), vec![4, 5]));
         assert_eq!(FsOp::decode(&[9, 0]), None);
     }
 
@@ -474,6 +510,27 @@ mod tests {
         assert!(recovered.fs.lookup(&Path::parse("/a").unwrap()).is_ok());
         assert!(recovered.fs.lookup(&Path::parse("/b").unwrap()).is_err());
         assert_eq!(recovered.fs.read_file(&Path::parse("/a").unwrap()).unwrap(), b"");
+    }
+
+    #[test]
+    fn apply_reserves_the_commit_sector() {
+        // Four one-sector records fit: two ops, each with its commit.
+        let mut jfs = JournaledFs::format(SimDisk::new(4));
+        jfs.apply(FsOp::Create("/a".into())).unwrap();
+        jfs.commit().unwrap();
+        jfs.apply(FsOp::Create("/b".into())).unwrap();
+        // The last sector is the open transaction's commit record: any
+        // further op is refused before it is validated, and changes
+        // nothing.
+        let before = jfs.fs.clone();
+        assert_eq!(jfs.apply(FsOp::Create("/c".into())), Err(FsError::NoSpace));
+        assert_eq!(jfs.apply(FsOp::Unlink("/nope".into())), Err(FsError::NoSpace));
+        assert_eq!(jfs.fs, before);
+        jfs.commit().expect("the reserved sector takes the commit");
+        assert_eq!(jfs.apply(FsOp::Create("/c".into())), Err(FsError::NoSpace));
+        jfs.commit().expect("an empty transaction writes nothing");
+        let recovered = JournaledFs::recover(jfs.into_disk());
+        assert_eq!(recovered.fs, before);
     }
 
     #[test]

@@ -4,6 +4,16 @@
 //! (`spec::FsSpec`) is compared against and the layer the journal
 //! replays into. Determinism matters twice over — differential checking
 //! against the spec, and identical recovery replays.
+//!
+//! # Failure atomicity
+//!
+//! Every mutator (`create`, `mkdir`, `unlink`, `rmdir`, `write_at`,
+//! `truncate`, `replace`) runs all of its checks before its first write,
+//! so one that returns `Err` leaves the filesystem exactly as it was,
+//! inode counter included. The journal relies on this: it validates an
+//! operation by applying it to the live state, with no copy to roll
+//! back to. `spec::differential_fs` checks the contract after every
+//! failed operation.
 
 use crate::inode::{Ino, InodeKind, InodeTable, ROOT_INO};
 use crate::path::Path;
@@ -202,6 +212,29 @@ impl MemFs {
         Ok(buf.len())
     }
 
+    /// Creates `path` as an empty file if it is absent, then sets its
+    /// contents to `data`: a whole-file overwrite in one step.
+    pub fn replace(&mut self, path: &Path, data: &[u8]) -> Result<Ino, FsError> {
+        if data.len() as u64 > MAX_FILE {
+            return Err(FsError::NoSpace);
+        }
+        let ino = match self.lookup(path) {
+            Ok(ino) => ino,
+            // `create` is itself failure-atomic, and a fresh file passes
+            // the kind check below.
+            Err(FsError::NotFound) => self.create(path)?,
+            Err(e) => return Err(e),
+        };
+        match &mut self.node_mut(ino).kind {
+            InodeKind::File(d) => {
+                d.clear();
+                d.extend_from_slice(data);
+                Ok(ino)
+            }
+            InodeKind::Dir(_) => Err(FsError::IsADirectory),
+        }
+    }
+
     /// Truncates (or extends with zeros) a file to `len`.
     pub fn truncate(&mut self, ino: Ino, len: u64) -> Result<(), FsError> {
         if len > MAX_FILE {
@@ -235,13 +268,17 @@ impl MemFs {
         }
     }
 
+    /// A file's whole contents, borrowed.
+    pub fn contents(&self, path: &Path) -> Result<&[u8], FsError> {
+        match &self.node(self.lookup(path)?).kind {
+            InodeKind::File(d) => Ok(d),
+            InodeKind::Dir(_) => Err(FsError::IsADirectory),
+        }
+    }
+
     /// Whole-file read convenience.
     pub fn read_file(&self, path: &Path) -> Result<Vec<u8>, FsError> {
-        let ino = self.lookup(path)?;
-        let len = self.len_of(ino)?;
-        let mut buf = vec![0; len as usize];
-        self.read_at(ino, 0, &mut buf)?;
-        Ok(buf)
+        self.contents(path).map(<[u8]>::to_vec)
     }
 }
 
@@ -328,6 +365,21 @@ mod tests {
         assert_eq!(fs.read_file(&p("/f")).unwrap(), b"abc");
         fs.truncate(ino, 5).unwrap();
         assert_eq!(fs.read_file(&p("/f")).unwrap(), b"abc\0\0");
+    }
+
+    #[test]
+    fn replace_creates_then_overwrites() {
+        let mut fs = MemFs::new();
+        let ino = fs.replace(&p("/f"), b"first, longer").unwrap();
+        assert_eq!(fs.replace(&p("/f"), b"v2"), Ok(ino), "same inode");
+        assert_eq!(fs.contents(&p("/f")).unwrap(), b"v2");
+        fs.mkdir(&p("/d")).unwrap();
+        let before = fs.clone();
+        assert_eq!(fs.replace(&p("/d"), b"x"), Err(FsError::IsADirectory));
+        assert_eq!(fs.replace(&p("/f/x"), b"x"), Err(FsError::NotADirectory));
+        assert_eq!(fs.replace(&p("/nope/x"), b"x"), Err(FsError::NotFound));
+        assert_eq!(fs.replace(&p("/"), b"x"), Err(FsError::IsADirectory));
+        assert_eq!(fs, before, "refused replaces change nothing");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 
 use veros_telemetry::{Counter, Registry};
 
-/// Transactions committed (commit record + flush barrier reached disk).
+/// Transactions committed (commit record + flush barrier reached disk);
+/// an empty transaction writes no record and is not counted.
 pub static JOURNAL_COMMITS: Counter = Counter::new();
 
 /// Journal operations replayed by recovery, summed over every

@@ -245,6 +245,20 @@ impl FlatFs {
                 f.resize(*len as usize, 0);
                 Ok(())
             }
+            FsOp::Replace(p, data) => {
+                let path = Path::parse(p).map_err(|_| FsError::NotFound)?;
+                if data.len() as u64 > crate::memfs::MAX_FILE {
+                    return Err(FsError::NoSpace);
+                }
+                if self.dirs.iter().any(|d| d == path.as_str()) {
+                    return Err(FsError::IsADirectory);
+                }
+                if !self.files.contains_key(path.as_str()) {
+                    self.apply(&FsOp::Create(p.clone()))?;
+                }
+                self.files.insert(path.as_str().into(), data.clone());
+                Ok(())
+            }
         }
     }
 }
@@ -279,7 +293,9 @@ pub fn view_flat(fs: &MemFs) -> FlatFs {
 }
 
 /// Differential check: drives `MemFs` and `FlatFs` with the same random
-/// operation stream; results and views must agree at every step.
+/// operation stream; results and views must agree at every step, and an
+/// operation that fails must leave `MemFs` exactly as it was (the
+/// failure-atomicity contract of [`crate::memfs`]).
 pub fn differential_fs(seed: u64, steps: usize) -> Result<(), String> {
     let mut rng = veros_spec::rng::SpecRng::seeded(seed ^ 0xf5);
     let mut fs = MemFs::new();
@@ -293,20 +309,25 @@ pub fn differential_fs(seed: u64, steps: usize) -> Result<(), String> {
             p.push('/');
             p.push_str(rng.choose::<&str>(&names[..]));
         }
-        let op = match rng.below(6) {
+        let op = match rng.below(7) {
             0 => FsOp::Create(p),
             1 => FsOp::Mkdir(p),
             2 => FsOp::Unlink(p),
             3 => FsOp::Rmdir(p),
             4 => FsOp::WriteAt(p, rng.below(32), vec![rng.below(255) as u8; rng.index(16) + 1]),
-            _ => FsOp::Truncate(p, rng.below(64)),
+            5 => FsOp::Truncate(p, rng.below(64)),
+            _ => FsOp::Replace(p, vec![rng.below(255) as u8; rng.index(24)]),
         };
+        let before = fs.clone();
         let got = op.apply(&mut fs);
         let want = spec.apply(&op);
         if got != want {
             return Err(format!(
                 "seed {seed} step {step}: {op:?} -> impl {got:?}, spec {want:?}"
             ));
+        }
+        if got.is_err() && fs != before {
+            return Err(format!("seed {seed} step {step}: failed {op:?} changed the fs"));
         }
         let mut sorted_spec = spec.clone();
         sorted_spec.dirs.sort();

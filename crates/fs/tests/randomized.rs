@@ -4,7 +4,8 @@
 use veros_spec::rng::SpecRng;
 use veros_fs::journal::FsOp;
 use veros_fs::spec::view_flat;
-use veros_fs::{MemFs, Path};
+use veros_fs::{FsError, JournaledFs, MemFs, Path};
+use veros_hw::SimDisk;
 
 fn arbitrary_name(rng: &mut SpecRng) -> String {
     let letters = ['a', 'b', 'c', 'd'];
@@ -23,7 +24,7 @@ fn arbitrary_path(rng: &mut SpecRng) -> String {
 
 fn arbitrary_op(rng: &mut SpecRng) -> FsOp {
     let p = arbitrary_path(rng);
-    match rng.below(6) {
+    match rng.below(7) {
         0 => FsOp::Create(p),
         1 => FsOp::Mkdir(p),
         2 => FsOp::Unlink(p),
@@ -33,7 +34,12 @@ fn arbitrary_op(rng: &mut SpecRng) -> FsOp {
             rng.fill(&mut data);
             FsOp::WriteAt(p, rng.below(256), data)
         }
-        _ => FsOp::Truncate(p, rng.below(512)),
+        5 => FsOp::Truncate(p, rng.below(512)),
+        _ => {
+            let mut data = vec![0u8; rng.index(1024)];
+            rng.fill(&mut data);
+            FsOp::Replace(p, data)
+        }
     }
 }
 
@@ -83,6 +89,40 @@ fn journal_ops_encode_round_trip() {
         let state = jfs.fs.clone();
         let recovered = veros_fs::JournaledFs::recover(jfs.into_disk());
         assert_eq!(recovered.fs, state);
+    }
+}
+
+/// The journal's failure atomicity, driven into exhaustion: random
+/// transactions on a small disk until the journal refuses every op. A
+/// refused op leaves the live state exactly as it was; every commit is
+/// exactly what recovery rebuilds after a crash that loses all unflushed
+/// writes; an uncommitted transaction vanishes whole.
+#[test]
+fn journal_refusals_change_nothing_and_commits_recover() {
+    let mut rng =
+        SpecRng::for_obligation("fs::tests::journal_refusals_change_nothing_and_commits_recover");
+    for _ in 0..16 {
+        let mut jfs = JournaledFs::format(SimDisk::new(8 + rng.below(40)));
+        let mut committed = jfs.fs.clone();
+        let mut no_space = 0;
+        for _ in 0..256 {
+            for _ in 0..1 + rng.index(3) {
+                let before = jfs.fs.clone();
+                if let Err(e) = jfs.apply(arbitrary_op(&mut rng)) {
+                    assert_eq!(jfs.fs, before, "a refused op ({e}) changed the state");
+                    no_space += usize::from(e == FsError::NoSpace);
+                }
+            }
+            if rng.chance(3, 4) {
+                jfs.commit().expect("commit never runs out of space");
+                committed = jfs.fs.clone();
+            }
+            let mut disk = jfs.into_disk();
+            disk.crash_keep_prefix(0);
+            jfs = JournaledFs::recover(disk);
+            assert_eq!(jfs.fs, committed, "recovery is not the last commit");
+        }
+        assert!(no_space > 0, "the journal never filled");
     }
 }
 

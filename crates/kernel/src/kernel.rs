@@ -497,14 +497,15 @@ impl Kernel {
             .get(handle)
             .ok_or(SysError::BadFd)?
             .offset;
+        let len = data.len() as u64;
         self.fs
-            .apply(FsOp::WriteAt(path, offset, data.clone()))
+            .apply(FsOp::WriteAt(path, offset, data))
             .map_err(fs_err)?;
         self.fs.commit().map_err(fs_err)?;
         self.open_files
-            .seek(handle, offset + data.len() as u64)
+            .seek(handle, offset + len)
             .map_err(|_| SysError::BadFd)?;
-        Ok(data.len() as u64)
+        Ok(len)
     }
 
     fn do_futex_wait(&mut self, pid: Pid, tid: Tid, va: u64, expected: u32) -> SysRet {

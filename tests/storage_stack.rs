@@ -41,6 +41,72 @@ fn blockstore_agrees_with_an_abstract_map_under_random_workload() {
 }
 
 #[test]
+fn refused_writes_leave_the_previous_value_readable() {
+    use veros::blockstore::store::StoreError;
+
+    // The journal is never checkpointed, so a store whose disk is too
+    // small for its writes must start refusing them. A refused put or
+    // delete must leave the key's previous value readable, in memory
+    // and after a crash and recovery.
+    let no_space = StoreError::Fs("no space left".into());
+    let block = |fill: u8| vec![fill; 1024];
+    let mut store = BlockStore::format(22);
+    for k in ["k0", "k1", "k2", "k3"] {
+        store.put(k, &block(0), wire::block_checksum(&block(0))).expect("fits");
+    }
+
+    // Overwrite one key until the journal refuses a put.
+    let mut acked = block(0);
+    for fill in 1.. {
+        assert!(fill < 32, "a 22-sector journal never filled");
+        let v = block(fill);
+        match store.put("k0", &v, wire::block_checksum(&v)) {
+            Ok(()) => acked = v,
+            Err(e) => {
+                assert_eq!(e, no_space);
+                break;
+            }
+        }
+    }
+    assert_eq!(store.get("k0").expect("refused put keeps k0").0, acked);
+
+    // Delete keys until the journal refuses a delete.
+    let mut deleted = Vec::new();
+    let mut kept = Vec::new();
+    for k in ["k1", "k2", "k3"] {
+        match store.delete(k) {
+            Ok(()) => deleted.push(k),
+            Err(e) => {
+                assert_eq!(e, no_space, "delete {k}");
+                kept.push(k);
+            }
+        }
+    }
+    assert!(!kept.is_empty(), "the full journal refused no delete");
+
+    // A full journal still refuses every write.
+    let v = block(0xee);
+    assert_eq!(store.put("k9", &v, wire::block_checksum(&v)), Err(no_space.clone()));
+    assert_eq!(store.put("k0", &v, wire::block_checksum(&v)), Err(no_space));
+
+    let check = |s: &BlockStore, when: &str| {
+        let read = |k: &str| s.get(k).map(|(d, _)| d);
+        assert_eq!(read("k0"), Ok(acked.clone()), "{when}: k0");
+        for k in &kept {
+            assert_eq!(read(k), Ok(block(0)), "{when}: refused delete of {k}");
+        }
+        for k in &deleted {
+            assert_eq!(read(k), Err(StoreError::NotFound), "{when}: deleted {k}");
+        }
+        assert_eq!(read("k9"), Err(StoreError::NotFound), "{when}: refused k9");
+    };
+    check(&store, "live");
+    let mut disk = store.into_disk();
+    disk.crash_keep_prefix(0);
+    check(&BlockStore::recover(disk), "recovered");
+}
+
+#[test]
 fn acknowledged_cluster_writes_survive_crash_of_either_replica() {
     let mut cluster = Cluster::new(FaultPlan::hostile(), 31);
     for i in 0..5u32 {
